@@ -401,6 +401,15 @@ mod tests {
         let mut cfg = fast_cfg(4);
         cfg.coarse_solver = SubSolver::Pool(vec![]);
         assert!(solve(&g, &cfg).is_err(), "empty pools are config errors, not panics");
+        // a rhobeg COBYLA cannot start from is a config error, not a
+        // panic inside the batch
+        let bad = qq_qaoa::QaoaConfig { rhobeg: 0.0, ..qq_qaoa::QaoaConfig::default() };
+        let mut cfg = fast_cfg(4);
+        cfg.solver = SubSolver::Qaoa(bad.clone());
+        assert!(matches!(solve(&g, &cfg), Err(Qaoa2Error::InvalidConfig(_))));
+        let mut cfg = fast_cfg(4);
+        cfg.coarse_solver = SubSolver::QaoaGrid { ps: vec![1], rhobegs: vec![f64::NAN], base: bad };
+        assert!(matches!(solve(&g, &cfg), Err(Qaoa2Error::InvalidConfig(_))));
     }
 
     #[test]

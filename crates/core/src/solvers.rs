@@ -125,22 +125,33 @@ impl SubSolver {
         }
     }
 
-    /// Reject configurations that cannot build a backend (today: empty
-    /// pools, at any nesting depth). Called by `qq_core::solve` before
-    /// any backend is constructed so the failure is a config error, not
-    /// a panic.
+    /// Reject configurations that cannot build a working backend: empty
+    /// pools, at any nesting depth, and QAOA settings
+    /// [`QaoaConfig::validate`] rejects (for a grid, every cell's).
+    /// Called by `qq_core::solve` before any backend is constructed so
+    /// the failure is a config error, not a panic mid-solve.
     pub fn validate(&self) -> Result<(), crate::Qaoa2Error> {
-        if let SubSolver::Pool(members) = self {
-            if members.is_empty() {
-                return Err(crate::Qaoa2Error::InvalidConfig(
-                    "solver pool needs at least one member".into(),
-                ));
+        let qaoa = match self {
+            SubSolver::Qaoa(cfg) | SubSolver::Best { qaoa: cfg, .. } => cfg.validate(),
+            SubSolver::QaoaGrid { ps, rhobegs, base } => {
+                QaoaGridSolver { ps: ps.clone(), rhobegs: rhobegs.clone(), base: base.clone() }
+                    .validate()
             }
-            for m in members {
-                m.validate()?;
+            SubSolver::Rqaoa(cfg) => cfg.validate(),
+            SubSolver::Pool(members) => {
+                if members.is_empty() {
+                    return Err(crate::Qaoa2Error::InvalidConfig(
+                        "solver pool needs at least one member".into(),
+                    ));
+                }
+                for m in members {
+                    m.validate()?;
+                }
+                Ok(())
             }
-        }
-        Ok(())
+            _ => Ok(()),
+        };
+        Ok(qaoa.map_err(SolverError::from)?)
     }
 
     /// Wrap an externally defined backend.
@@ -329,6 +340,27 @@ mod tests {
         .unwrap();
         // identical cell → identical result
         assert_eq!(grid.value, single.value);
+    }
+
+    #[test]
+    fn validate_rejects_bad_qaoa_settings_in_every_quantum_variant() {
+        let bad = QaoaConfig { rhobeg: 5e-5, ..QaoaConfig::default() };
+        let good = QaoaConfig::default();
+        for s in [
+            SubSolver::Qaoa(bad.clone()),
+            SubSolver::Best { qaoa: bad.clone(), gw: GwConfig::default() },
+            SubSolver::QaoaGrid { ps: vec![2, 3], rhobegs: vec![0.5, -0.5], base: good.clone() },
+            SubSolver::QaoaGrid { ps: vec![3], rhobegs: vec![f64::NAN], base: good.clone() },
+            SubSolver::Rqaoa(qq_qaoa::RqaoaConfig { qaoa: bad.clone(), stop_size: 4 }),
+            SubSolver::Pool(vec![SubSolver::LocalSearch, SubSolver::Qaoa(bad.clone())]),
+        ] {
+            assert!(
+                matches!(s.validate(), Err(crate::Qaoa2Error::InvalidConfig(_))),
+                "{s:?} passed validation"
+            );
+        }
+        let grid = SubSolver::QaoaGrid { ps: vec![2, 3], rhobegs: vec![0.1, 0.5], base: good };
+        assert!(grid.validate().is_ok());
     }
 
     #[test]

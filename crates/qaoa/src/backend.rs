@@ -8,7 +8,17 @@
 
 use crate::config::QaoaConfig;
 use crate::rqaoa::RqaoaConfig;
+use crate::QaoaError;
 use qq_graph::{CutResult, Graph, MaxCutSolver, SolverCaps, SolverError};
+
+impl From<QaoaError> for SolverError {
+    fn from(e: QaoaError) -> Self {
+        match e {
+            QaoaError::InvalidConfig { message } => SolverError::InvalidConfig(message),
+            other => SolverError::Backend(other.to_string()),
+        }
+    }
+}
 
 /// Register ceiling shared by every statevector-backed backend.
 fn simulated_device_caps() -> SolverCaps {
@@ -36,7 +46,7 @@ impl MaxCutSolver for QaoaSolver {
     fn solve(&self, g: &Graph, seed: u64) -> Result<CutResult, SolverError> {
         self.check_instance(g)?;
         let cfg = QaoaConfig { seed: self.config.seed ^ seed, ..self.config.clone() };
-        crate::solve(g, &cfg).map(|r| r.best).map_err(|e| SolverError::Backend(e.to_string()))
+        Ok(crate::solve(g, &cfg)?.best)
     }
 
     fn capabilities(&self) -> SolverCaps {
@@ -58,27 +68,46 @@ pub struct QaoaGridSolver {
     pub base: QaoaConfig,
 }
 
+impl QaoaGridSolver {
+    /// The configuration grid cell `(p, rhobeg)` solves with under the
+    /// per-call `seed`.
+    fn cell(&self, p: usize, rhobeg: f64, seed: u64) -> QaoaConfig {
+        QaoaConfig {
+            layers: p,
+            rhobeg,
+            max_iters: QaoaConfig::paper_iterations(p),
+            seed: self.base.seed ^ seed ^ ((p as u64) << 32) ^ (rhobeg.to_bits() >> 16),
+            ..self.base.clone()
+        }
+    }
+
+    /// Reject an empty grid and any cell whose configuration
+    /// [`QaoaConfig::validate`] rejects.
+    pub fn validate(&self) -> Result<(), QaoaError> {
+        if self.ps.is_empty() || self.rhobegs.is_empty() {
+            return Err(QaoaError::InvalidConfig { message: "empty QAOA grid".into() });
+        }
+        for &p in &self.ps {
+            for &rb in &self.rhobegs {
+                self.cell(p, rb, 0).validate()?;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl MaxCutSolver for QaoaGridSolver {
     fn label(&self) -> &str {
         "qaoa-grid"
     }
 
     fn solve(&self, g: &Graph, seed: u64) -> Result<CutResult, SolverError> {
-        if self.ps.is_empty() || self.rhobegs.is_empty() {
-            return Err(SolverError::InvalidConfig("empty QAOA grid".into()));
-        }
+        self.validate()?;
         self.check_instance(g)?;
         let mut best: Option<CutResult> = None;
         for &p in &self.ps {
             for &rb in &self.rhobegs {
-                let cfg = QaoaConfig {
-                    layers: p,
-                    rhobeg: rb,
-                    max_iters: QaoaConfig::paper_iterations(p),
-                    seed: self.base.seed ^ seed ^ ((p as u64) << 32) ^ (rb.to_bits() >> 16),
-                    ..self.base.clone()
-                };
-                let r = crate::solve(g, &cfg).map_err(|e| SolverError::Backend(e.to_string()))?;
+                let r = crate::solve(g, &self.cell(p, rb, seed))?;
                 if best.as_ref().map(|b| r.best.value > b.value).unwrap_or(true) {
                     best = Some(r.best);
                 }
@@ -113,7 +142,7 @@ impl MaxCutSolver for RqaoaSolver {
             qaoa: QaoaConfig { seed: self.config.qaoa.seed ^ seed, ..self.config.qaoa.clone() },
             ..self.config.clone()
         };
-        crate::rqaoa_solve(g, &cfg).map(|r| r.best).map_err(|e| SolverError::Backend(e.to_string()))
+        Ok(crate::rqaoa_solve(g, &cfg)?.best)
     }
 
     fn capabilities(&self) -> SolverCaps {
@@ -143,6 +172,18 @@ mod tests {
         let g = generators::ring(6);
         let solver = QaoaGridSolver { ps: vec![], rhobegs: vec![0.1], base: QaoaConfig::default() };
         assert!(matches!(solver.solve(&g, 0), Err(SolverError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn bad_rhobeg_is_a_config_error_on_every_backend() {
+        let g = generators::ring(10);
+        let bad = QaoaConfig { rhobeg: 0.0, ..QaoaConfig::default() };
+        let qaoa = QaoaSolver { config: bad.clone() };
+        assert!(matches!(qaoa.solve(&g, 0), Err(SolverError::InvalidConfig(_))));
+        let grid = QaoaGridSolver { ps: vec![1], rhobegs: vec![0.5, f64::NAN], base: bad.clone() };
+        assert!(matches!(grid.solve(&g, 0), Err(SolverError::InvalidConfig(_))));
+        let rqaoa = RqaoaSolver { config: RqaoaConfig { qaoa: bad, stop_size: 4 } };
+        assert!(matches!(rqaoa.solve(&g, 0), Err(SolverError::InvalidConfig(_))));
     }
 
     #[test]

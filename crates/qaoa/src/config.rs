@@ -25,6 +25,10 @@ pub enum SolutionPolicy {
     BestShot,
 }
 
+/// COBYLA's final trust-region radius. The radius shrinks from `rhobeg`
+/// to this value, so `rhobeg` may not start below it.
+pub(crate) const COBYLA_RHOEND: f64 = 1e-4;
+
 /// Full driver configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QaoaConfig {
@@ -43,8 +47,6 @@ pub struct QaoaConfig {
     pub policy: SolutionPolicy,
     /// Circuit-synthesis preference.
     pub preference: Preference,
-    /// Use the fused diagonal cost layer (aer-style optimization).
-    pub fused_cost_layer: bool,
     /// Master seed: derives shot-sampling and extraction randomness.
     pub seed: u64,
     /// Optional explicit initial parameters `[γ…, β…]`; default is the
@@ -62,7 +64,6 @@ impl Default for QaoaConfig {
             objective: ObjectiveMode::Shots,
             policy: SolutionPolicy::HighestAmplitude,
             preference: Preference::Depth,
-            fused_cost_layer: true,
             seed: 0,
             initial_params: None,
         }
@@ -106,10 +107,23 @@ impl QaoaConfig {
                 message: "optimizer budget must be ≥ 1".into(),
             });
         }
+        if !self.rhobeg.is_finite() || self.rhobeg < COBYLA_RHOEND {
+            return Err(crate::QaoaError::InvalidConfig {
+                message: format!(
+                    "rhobeg must be finite and ≥ {COBYLA_RHOEND:e} (COBYLA's final radius), got {}",
+                    self.rhobeg
+                ),
+            });
+        }
         if let Some(v) = &self.initial_params {
             if v.len() != 2 * self.layers {
                 return Err(crate::QaoaError::InvalidConfig {
                     message: format!("initial params need length 2p = {}", 2 * self.layers),
+                });
+            }
+            if v.iter().any(|x| !x.is_finite()) {
+                return Err(crate::QaoaError::InvalidConfig {
+                    message: "initial params must be finite".into(),
                 });
             }
         }
@@ -154,11 +168,20 @@ mod tests {
         assert!(c.validate().is_err());
         let c = QaoaConfig { initial_params: Some(vec![0.1; 3]), ..QaoaConfig::default() };
         assert!(c.validate().is_err());
+        // COBYLA cannot start below its final radius, or from NaN/inf
+        for rhobeg in [0.0, 5e-5, -0.5, f64::NAN, f64::INFINITY] {
+            assert!(QaoaConfig { rhobeg, ..QaoaConfig::default() }.validate().is_err(), "{rhobeg}");
+        }
+        let mut params = QaoaConfig::default().default_initial_params();
+        params[1] = f64::NAN;
+        let c = QaoaConfig { initial_params: Some(params), ..QaoaConfig::default() };
+        assert!(c.validate().is_err());
     }
 
     #[test]
     fn default_is_valid() {
         assert!(QaoaConfig::default().validate().is_ok());
+        assert!(QaoaConfig { rhobeg: COBYLA_RHOEND, ..QaoaConfig::default() }.validate().is_ok());
     }
 
     #[test]

@@ -6,32 +6,59 @@
 //! (independent of edge count) and the expectation a single weighted sum.
 //! This is the same fusion `aer` performs for diagonal operators and is
 //! what makes the paper's grid search (thousands of QAOA runs) tractable.
+//!
+//! The table stores each basis state's cost as an index into the
+//! distinct cost values (the *levels*), so a cost layer evaluates
+//! `e^{−iγ·c}` once per level and then gathers, instead of once per
+//! amplitude. An integer-weight graph with `m` edges has at most `m + 1`
+//! levels; random real weights give about `2^(n−1)`, since
+//! `C(z) = C(¬z)`. The gathered phase is the very `cis` the per-amplitude
+//! pass would compute, so the amplitudes are bit-identical to it.
 
 use qq_circuit::CostModel;
 use qq_sim::{StateVector, C64};
 use rayon::prelude::*;
 
-/// `table[z] = C(z)` for every basis state of an `n`-qubit register.
+/// `C(z)` for every basis state of an `n`-qubit register, stored as a
+/// level index per state into the distinct values of `C`.
 #[derive(Debug, Clone)]
 pub struct CostTable {
-    values: Vec<f64>,
+    /// `levels[level[z]] == C(z)`, bit for bit.
+    level: Vec<u32>,
+    /// The distinct values of `C` — one per bit pattern — ascending in
+    /// `f64::total_cmp` order.
+    levels: Vec<f64>,
     num_qubits: usize,
 }
 
 impl CostTable {
-    /// Tabulate a cost model over all `2^n` basis states, in parallel
-    /// across the rayon pool. The parallel `collect` is order-preserving
-    /// (chunks concatenate in basis order), so the table is identical at
-    /// any thread count.
+    /// Tabulate a cost model over all `2^n` basis states. The values are
+    /// computed in parallel across the rayon pool, each independently;
+    /// sorting them and numbering the levels is sequential, so the table
+    /// is identical at any thread count.
     pub fn new(model: &CostModel) -> Self {
         let n = model.num_qubits;
+        // a level index is below 2^n; `solve` caps n at
+        // MAX_QAOA_QUBITS = 26
+        assert!(n <= 32, "level indices are u32");
         let size = 1usize << n;
-        // REDUCTION: the collect is keyed by basis index z over a fixed
-        // DEFAULT_GRAIN range split — each table entry is computed
-        // independently, nothing is combined across chunks.
-        let values: Vec<f64> =
-            (0..size as u64).into_par_iter().map(|z| model.eval_basis(z)).collect();
-        CostTable { values, num_qubits: n }
+        let mut by_value = vec![(0.0f64, 0u32); size];
+        by_value.par_iter_mut().enumerate().for_each(|(z, e)| {
+            *e = (model.eval_basis(z as u64), z as u32);
+        });
+        by_value.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        // total_cmp is a total order on bit patterns, so each run of
+        // equal values is one bit pattern and one level (-0.0 and +0.0
+        // are two levels)
+        let mut level = vec![0u32; size];
+        let mut levels: Vec<f64> = Vec::new();
+        for &(c, z) in &by_value {
+            if levels.last().map(|l| l.to_bits()) != Some(c.to_bits()) {
+                levels.push(c);
+            }
+            level[z as usize] = (levels.len() - 1) as u32;
+        }
+        CostTable { level, levels, num_qubits: n }
     }
 
     /// Number of qubits.
@@ -42,41 +69,37 @@ impl CostTable {
     /// Cost of one basis state.
     #[inline]
     pub fn value(&self, z: u64) -> f64 {
-        self.values[z as usize]
-    }
-
-    /// Full table.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+        self.levels[self.level[z as usize] as usize]
     }
 
     /// The certified maximum over all basis states (exact MaxCut value —
     /// available as a by-product for registers small enough to tabulate).
-    /// `max` is associative and insensitive to the reduction tree, and the
-    /// vendored rayon fixes the tree anyway, so this is deterministic.
     pub fn max_value(&self) -> f64 {
-        // REDUCTION: max is associative and order-insensitive, and the
-        // vendored pool fixes the DEFAULT_GRAIN reduction tree anyway.
-        self.values.par_iter().cloned().reduce(|| f64::MIN, f64::max)
+        self.levels.iter().copied().fold(f64::MIN, f64::max)
     }
 
-    /// Apply the fused cost layer `|ψ⟩ ← e^{−iγ·C} |ψ⟩` in one pass.
+    /// Apply the fused cost layer `|ψ⟩ ← e^{−iγ·C} |ψ⟩` in one pass:
+    /// one `cis` per level, then a gather per amplitude.
     pub fn apply_cost_layer(&self, state: &mut StateVector, gamma: f64) {
         assert_eq!(state.num_qubits(), self.num_qubits, "register width mismatch");
-        state.amplitudes_mut().par_iter_mut().zip(self.values.par_iter()).for_each(|(a, &c)| {
-            *a *= C64::cis(-gamma * c);
+        let mut phases = vec![C64::ZERO; self.levels.len()];
+        phases.par_iter_mut().zip(self.levels.par_iter()).for_each(|(p, &c)| {
+            *p = C64::cis(-gamma * c);
+        });
+        state.amplitudes_mut().par_iter_mut().zip(self.level.par_iter()).for_each(|(a, &l)| {
+            *a *= phases[l as usize];
         });
     }
 
     /// Exact ⟨C⟩ under `state`.
     pub fn expectation(&self, state: &StateVector) -> f64 {
-        qq_sim::measure::expectation_from_table(state.amplitudes(), &self.values)
+        qq_sim::measure::expectation_diagonal(state.amplitudes(), 0, |z| self.value(z))
     }
 
     /// Sample-mean ⟨C⟩ from `shots` measurements.
     pub fn sampled_expectation(&self, state: &StateVector, shots: usize, seed: u64) -> f64 {
         let counts = qq_sim::measure::sample_counts(state.amplitudes(), shots, seed);
-        let total: f64 = counts.iter().map(|&(z, c)| self.values[z as usize] * c as f64).sum();
+        let total: f64 = counts.iter().map(|&(z, c)| self.value(z) * c as f64).sum();
         total / shots as f64
     }
 }
@@ -94,6 +117,23 @@ mod tests {
         for z in [0u64, 5, 63, 127] {
             let cut = qq_graph::Cut::from_basis_index(7, z).value(&g);
             assert!((table.value(z) - cut).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn levels_are_the_distinct_cut_values() {
+        // integer weights: at most m + 1 levels, whatever n is
+        let g = generators::erdos_renyi(12, 0.3, WeightKind::Uniform, 4);
+        let table = CostTable::new(&CostModel::from_maxcut(&g));
+        assert!(table.levels.len() <= g.num_edges() + 1, "{} levels", table.levels.len());
+        // random weights: C(z) = C(¬z) halves the 2^n states at most
+        let g = generators::erdos_renyi(10, 0.6, WeightKind::Random01, 4);
+        let model = CostModel::from_maxcut(&g);
+        let table = CostTable::new(&model);
+        assert!(table.levels.len() <= 1 << 9);
+        assert!(table.levels.windows(2).all(|w| w[0] < w[1]), "ascending and distinct");
+        for z in 0..1u64 << 10 {
+            assert_eq!(table.value(z).to_bits(), model.eval_basis(z).to_bits());
         }
     }
 

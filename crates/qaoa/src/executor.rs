@@ -1,27 +1,35 @@
 //! Ansatz execution: build `|ψ_p(β, γ)⟩` for a parameter vector.
 //!
 //! Two interchangeable paths (verified equivalent in tests):
-//! the fused diagonal path (default — used by the optimizer loop) and the
-//! synthesized gate circuit (used when circuit metrics are requested, and
-//! as the fidelity reference).
+//!
+//! * [`build_state_fused`] — the optimizer loop's path. Per layer, the
+//!   cost layer is one gather from the [`CostTable`]'s level phases
+//!   (one `cis` per distinct cut value), and the mixer is one
+//!   [`StateVector::apply_1q_wall`]: every low qubit's `RX(2β)` in one
+//!   cache-blocked sweep, then a block pass per high qubit. Both produce
+//!   the same bits as a per-amplitude `cis` pass followed by `n` separate
+//!   `rx` calls, which the tests hold them to.
+//! * [`build_state_circuit`] — the synthesized gate circuit, the fidelity
+//!   reference. [`circuit_metrics`] synthesizes the same circuit once per
+//!   solve to report its depth and gate counts.
 
 use crate::cost::CostTable;
 use qq_circuit::{AnsatzParams, CostModel, Preference, Synthesizer};
+use qq_sim::gates::{self, Mat2};
 use qq_sim::StateVector;
 
 /// Build the QAOA state with the fused cost layer.
 ///
 /// Per layer: one `e^{−iγC}` pass from the table, then the mixer wall
-/// `RX(2β)` on every qubit.
+/// `RX(2β)` on every qubit, in ascending qubit order.
 pub fn build_state_fused(table: &CostTable, params: &AnsatzParams) -> StateVector {
     let n = table.num_qubits();
     let mut state = StateVector::plus_state(n);
     for (&gamma, &beta) in params.gammas.iter().zip(&params.betas) {
         table.apply_cost_layer(&mut state, gamma);
-        let theta = 2.0 * beta;
-        for q in 0..n {
-            state.rx(q, theta);
-        }
+        let rx = gates::rx_matrix(2.0 * beta);
+        let mixer: Vec<(usize, Mat2)> = (0..n).map(|q| (q, rx)).collect();
+        state.apply_1q_wall(&mixer);
     }
     state
 }

@@ -5,13 +5,19 @@
 //! statevector execution (`qq-sim`, 4096-shot sampling) → COBYLA parameter
 //! optimization (`qq-opt`) → bit-string extraction.
 //!
-//! Two fidelity/performance paths execute the cost layer:
-//! * **gate path** — the synthesized `RZZ` circuit, gate by gate;
-//! * **fused path** (default) — the cost layer is diagonal, so one pass
-//!   multiplies each amplitude by `e^{−iγ·C(z)}` from a precomputed
-//!   [`cost::CostTable`]; this is the "diagonal fusion" optimization the
-//!   `aer` simulator applies and is bit-compatible with the gate path up
-//!   to floating-point association (verified by tests).
+//! Two fidelity/performance paths build the ansatz state:
+//! * **gate path** — the synthesized `RZZ` circuit, gate by gate (the
+//!   fidelity reference);
+//! * **fused path** (the optimizer loop's) — the cost layer is diagonal,
+//!   so one pass multiplies each amplitude by `e^{−iγ·C(z)}` from a
+//!   precomputed [`cost::CostTable`] (the "diagonal fusion" optimization
+//!   the `aer` simulator applies). The table stores a level index per
+//!   basis state into the distinct cut values, so each layer evaluates
+//!   one `cis` per distinct value rather than per amplitude, and the
+//!   `RX(2β)` mixer runs as one cache-blocked wall
+//!   ([`qq_sim::StateVector::apply_1q_wall`]). The state is bit-identical
+//!   to a per-amplitude `cis` pass plus per-qubit `rx` calls, and matches
+//!   the gate path up to floating-point association (verified by tests).
 //!
 //! Solution extraction implements the paper's policy (single highest
 //! amplitude) *and* the two extensions it names as future work: inspecting
@@ -65,6 +71,9 @@ impl std::fmt::Display for QaoaError {
 impl std::error::Error for QaoaError {}
 
 /// Statevector ceiling for the driver: `2^26` amplitudes (1 GiB) plus the
-/// cost table (512 MiB). The paper's 30–33-qubit cells need the blocked
-/// engine and a bigger machine (see EXPERIMENTS.md).
+/// cost table: a 4-byte level index per state (256 MiB) and 24 bytes per
+/// distinct cut value for the value and one layer's phase — at most
+/// `m + 1` values on integer weights, up to `2^25` (768 MiB) on random
+/// real weights. The paper's 30–33-qubit cells need the blocked engine
+/// and a bigger machine (see EXPERIMENTS.md).
 pub const MAX_QAOA_QUBITS: usize = 26;

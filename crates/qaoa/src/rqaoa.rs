@@ -10,7 +10,7 @@
 //! weight addition). Recurse until the graph reaches `stop_size`, solve
 //! that rump exactly, and unwind the substitutions.
 
-use crate::config::QaoaConfig;
+use crate::config::{QaoaConfig, COBYLA_RHOEND};
 use crate::cost::CostTable;
 use crate::executor;
 use crate::QaoaError;
@@ -35,6 +35,17 @@ impl Default for RqaoaConfig {
     }
 }
 
+impl RqaoaConfig {
+    /// Validate the per-round QAOA settings and the stop size.
+    pub fn validate(&self) -> Result<(), QaoaError> {
+        self.qaoa.validate()?;
+        if self.stop_size < 1 {
+            return Err(QaoaError::InvalidConfig { message: "stop_size must be ≥ 1".into() });
+        }
+        Ok(())
+    }
+}
+
 /// Result of an RQAOA run.
 #[derive(Debug, Clone)]
 pub struct RqaoaResult {
@@ -54,10 +65,7 @@ struct Substitution {
 
 /// Solve MaxCut with recursive QAOA.
 pub fn rqaoa_solve(g: &Graph, cfg: &RqaoaConfig) -> Result<RqaoaResult, QaoaError> {
-    cfg.qaoa.validate()?;
-    if cfg.stop_size < 1 {
-        return Err(QaoaError::InvalidConfig { message: "stop_size must be ≥ 1".into() });
-    }
+    cfg.validate()?;
     let n0 = g.num_nodes();
     if n0 > crate::MAX_QAOA_QUBITS {
         return Err(QaoaError::TooManyQubits { requested: n0, max: crate::MAX_QAOA_QUBITS });
@@ -124,7 +132,7 @@ fn strongest_correlation(
         -table.expectation(&state)
     };
     let x0 = qcfg.initial_params.clone().unwrap_or_else(|| qcfg.default_initial_params());
-    let opt = Cobyla::new(qcfg.rhobeg, 1e-4, qcfg.max_iters).minimize(&objective, &x0);
+    let opt = Cobyla::new(qcfg.rhobeg, COBYLA_RHOEND, qcfg.max_iters).minimize(&objective, &x0);
     let params = AnsatzParams::from_vec(p, &opt.x);
     let state = executor::build_state_fused(&table, &params);
 
@@ -257,6 +265,25 @@ mod tests {
         let r = rqaoa_solve(&g, &cfg(4)).unwrap();
         assert!(r.best.value <= exact.value + 1e-9);
         assert!(r.best.value >= 0.8 * exact.value, "ratio {}", r.best.value / exact.value);
+    }
+
+    #[test]
+    fn bad_rhobeg_and_initial_params_are_config_errors() {
+        // Cobyla::new asserts rhobeg ≥ its final radius; validation must
+        // reject the config before the optimizer is built
+        let g = generators::ring(10);
+        for rhobeg in [0.0, 5e-5, -0.5, f64::NAN] {
+            let c = RqaoaConfig { qaoa: QaoaConfig { rhobeg, ..cfg(4).qaoa }, ..cfg(4) };
+            assert!(
+                matches!(rqaoa_solve(&g, &c), Err(QaoaError::InvalidConfig { .. })),
+                "rhobeg {rhobeg}"
+            );
+        }
+        let c = RqaoaConfig {
+            qaoa: QaoaConfig { initial_params: Some(vec![0.4, f64::NAN]), ..cfg(4).qaoa },
+            ..cfg(4)
+        };
+        assert!(matches!(rqaoa_solve(&g, &c), Err(QaoaError::InvalidConfig { .. })));
     }
 
     #[test]

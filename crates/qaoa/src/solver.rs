@@ -1,6 +1,6 @@
 //! End-to-end QAOA solve: optimize parameters, extract the cut.
 
-use crate::config::{ObjectiveMode, QaoaConfig, SolutionPolicy};
+use crate::config::{ObjectiveMode, QaoaConfig, SolutionPolicy, COBYLA_RHOEND};
 use crate::cost::CostTable;
 use crate::executor::{self, CircuitMetrics};
 use crate::QaoaError;
@@ -69,7 +69,7 @@ pub fn solve(g: &Graph, cfg: &QaoaConfig) -> Result<QaoaResult, QaoaError> {
     };
 
     let x0 = cfg.initial_params.clone().unwrap_or_else(|| cfg.default_initial_params());
-    let optimizer = Cobyla::new(cfg.rhobeg, 1e-4, cfg.max_iters);
+    let optimizer = Cobyla::new(cfg.rhobeg, COBYLA_RHOEND, cfg.max_iters);
     let opt = optimizer.minimize(&objective, &x0);
 
     let params = AnsatzParams::from_vec(p, &opt.x);
@@ -217,6 +217,26 @@ mod tests {
     fn rejects_oversized_graph() {
         let g = qq_graph::Graph::new(27);
         assert!(matches!(solve(&g, &QaoaConfig::default()), Err(QaoaError::TooManyQubits { .. })));
+    }
+
+    #[test]
+    fn bad_rhobeg_and_initial_params_are_config_errors() {
+        // Cobyla::new asserts rhobeg ≥ its final radius, and NaN initial
+        // params would yield a NaN expectation: both are config errors
+        let g = generators::ring(6);
+        for rhobeg in [0.0, 5e-5, -0.5, f64::NAN] {
+            let cfg = QaoaConfig { rhobeg, ..QaoaConfig::default() };
+            assert!(
+                matches!(solve(&g, &cfg), Err(QaoaError::InvalidConfig { .. })),
+                "rhobeg {rhobeg}"
+            );
+        }
+        let cfg = QaoaConfig {
+            layers: 1,
+            initial_params: Some(vec![f64::NAN, 0.3]),
+            ..QaoaConfig::default()
+        };
+        assert!(matches!(solve(&g, &cfg), Err(QaoaError::InvalidConfig { .. })));
     }
 
     #[test]

@@ -292,15 +292,9 @@ impl BlockedState {
     /// Multinomial shot sampling (matches
     /// [`crate::measure::sample_counts`] on the flattened state).
     pub fn sample_counts(&self, shots: usize, seed: u64) -> Vec<(u64, u32)> {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut points: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>()).collect();
-        // INVARIANT: rng.gen::<f64>() yields finite values in [0, 1),
-        // so partial_cmp never sees a NaN.
-        points.sort_by(|a, b| a.partial_cmp(b).expect("uniforms are finite"));
         measure::sweep_sorted_points(
             self.chunks.iter().flat_map(|c| c.iter().map(|a| a.norm_sqr())),
-            &points,
+            &measure::sorted_uniforms(shots, seed),
         )
     }
 

@@ -9,7 +9,7 @@
 
 use crate::complex::C64;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -24,8 +24,8 @@ pub fn expectation_diagonal(amps: &[C64], base: u64, f: impl Fn(u64) -> f64 + Sy
     amps.par_iter().enumerate().map(|(i, a)| a.norm_sqr() * f(base + i as u64)).sum()
 }
 
-/// Exact expectation against a precomputed value table
-/// (`table[z] = f(z)`), the fused fast path used by the QAOA driver.
+/// Exact expectation against a precomputed per-state value table
+/// (`table[z] = f(z)`).
 pub fn expectation_from_table(amps: &[C64], table: &[f64]) -> f64 {
     debug_assert_eq!(amps.len(), table.len());
     // REDUCTION: vendored fixed split tree — zipped slices share one
@@ -36,15 +36,54 @@ pub fn expectation_from_table(amps: &[C64], table: &[f64]) -> f64 {
 /// Multinomial shot sampling: draw `shots` basis states from `|a_z|²`.
 ///
 /// Returns `(basis_index, count)` pairs sorted by basis index. Implemented
-/// with the sorted-uniforms sweep: `O(2^n + shots·log shots)` and no
-/// cumulative-probability allocation, so it works for large registers.
+/// with the sorted-uniforms sweep, the uniforms counting-sorted on their
+/// top bits: `O(2^n + shots)` expected work and no cumulative-probability
+/// allocation, so it works for large registers.
 pub fn sample_counts(amps: &[C64], shots: usize, seed: u64) -> Vec<(u64, u32)> {
+    sweep_sorted_points(amps.iter().map(|a| a.norm_sqr()), &sorted_uniforms(shots, seed))
+}
+
+/// Random bits in one uniform draw: `rand::Rng::gen::<f64>` maps the
+/// 53-bit key `next_u64() >> 11` to `key · 2⁻⁵³`.
+const DRAW_BITS: u32 = 53;
+
+/// The `shots` uniforms `StdRng::seed_from_u64(seed)` draws, ascending.
+///
+/// A counting sort on the draws' 53-bit keys, whose map to `f64` is
+/// monotone: one counting pass on the keys' top bits lays the keys out
+/// bucket by bucket over `2^b ≥ shots` equal-width buckets. Uniform keys
+/// leave about one per bucket, so the insertion pass that orders each
+/// bucket moves a key `O(1)` slots on average: `O(shots)` expected work
+/// and extra memory.
+pub(crate) fn sorted_uniforms(shots: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut points: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>()).collect();
-    // INVARIANT: rng.gen::<f64>() yields finite values in [0, 1), so
-    // partial_cmp never sees a NaN.
-    points.sort_by(|a, b| a.partial_cmp(b).expect("uniforms are finite"));
-    sweep_sorted_points(amps.iter().map(|a| a.norm_sqr()), &points)
+    let keys: Vec<u64> = (0..shots).map(|_| rng.next_u64() >> (64 - DRAW_BITS)).collect();
+    let bucket_bits = shots.next_power_of_two().trailing_zeros().min(DRAW_BITS);
+    let bucket = |key: u64| (key >> (DRAW_BITS - bucket_bits)) as usize;
+    // starts[b] = first slot of bucket b, after the prefix sum below
+    let mut starts = vec![0usize; (1 << bucket_bits) + 1];
+    for &key in &keys {
+        starts[bucket(key) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut sorted = vec![0u64; shots];
+    for &key in &keys {
+        let slot = &mut starts[bucket(key)];
+        sorted[*slot] = key;
+        *slot += 1;
+    }
+    for i in 1..sorted.len() {
+        let key = sorted[i];
+        let mut j = i;
+        while j > 0 && sorted[j - 1] > key {
+            sorted[j] = sorted[j - 1];
+            j -= 1;
+        }
+        sorted[j] = key;
+    }
+    sorted.into_iter().map(|key| key as f64 * (1.0 / (1u64 << DRAW_BITS) as f64)).collect()
 }
 
 /// Shared sweep: walk probabilities once, consuming sorted sample points.
@@ -145,6 +184,7 @@ pub(crate) fn top_k_from_probs(
 mod tests {
     use super::*;
     use crate::state::StateVector;
+    use rand::Rng;
 
     #[test]
     fn expectation_of_plus_state_counts_half() {
@@ -186,6 +226,65 @@ mod tests {
     fn sampling_is_seeded() {
         let s = StateVector::plus_state(6);
         assert_eq!(sample_counts(s.amplitudes(), 512, 9), sample_counts(s.amplitudes(), 512, 9));
+    }
+
+    /// The same draws put in order by a plain comparison sort: the
+    /// oracle [`sample_counts`] must reproduce exactly.
+    fn oracle_points(shots: usize, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut points: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>()).collect();
+        points.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        points
+    }
+
+    /// A non-uniform, interfering `n`-qubit state.
+    fn skewed_state(n: usize) -> StateVector {
+        let mut s = StateVector::zero_state(n);
+        for q in 0..n {
+            s.ry(q, 0.3 + 0.41 * q as f64);
+        }
+        for q in 1..n {
+            s.rzz(q - 1, q, 0.7 + 0.1 * q as f64);
+        }
+        for q in 0..n {
+            s.rx(q, 0.9 - 0.05 * q as f64);
+        }
+        s
+    }
+
+    #[test]
+    fn sampler_matches_comparison_sort_oracle() {
+        let scaled = |n: usize, norm_sqr: f64| {
+            let mut s = skewed_state(n);
+            for a in s.amplitudes_mut() {
+                *a = a.scale(norm_sqr.sqrt());
+            }
+            s
+        };
+        let mut states: Vec<(String, StateVector)> =
+            (1..=14).map(|n| (format!("skewed n = {n}"), skewed_state(n))).collect();
+        states.push(("delta".into(), StateVector::zero_state(6)));
+        // Sub-normalised: draws above the norm are stragglers, handed to
+        // the last sampled index — or all to index 0 when none was sampled.
+        states.push(("norm² 0.6".into(), scaled(8, 0.6)));
+        states.push(("norm² 1e-6".into(), scaled(8, 1e-6)));
+        let mut cases = 0;
+        for shots in [1, 2, 7, 100, 4096, 20_000] {
+            for seed in 0..30 {
+                let points = oracle_points(shots, seed);
+                for (what, s) in &states {
+                    let probs = s.amplitudes().iter().map(|a| a.norm_sqr());
+                    assert_eq!(
+                        sample_counts(s.amplitudes(), shots, seed),
+                        sweep_sorted_points(probs, &points),
+                        "{what}, {shots} shots, seed {seed}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 17 * 6 * 30);
+        assert_eq!(sample_counts(states[16].1.amplitudes(), 7, 0), vec![(0, 7)]);
     }
 
     #[test]

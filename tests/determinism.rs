@@ -138,6 +138,10 @@ fn battery_digest() -> u64 {
     let g = generators::erdos_renyi(14, 0.4, generators::WeightKind::Random01, 77);
     let table = CostTable::new(&CostModel::from_maxcut(&g));
     d.f64(table.max_value());
+    // the level table itself (parallel value fill, sequential numbering)
+    for z in 0..1u64 << g.num_nodes() {
+        d.f64(table.value(z));
+    }
     for gi in 0..4 {
         for bi in 0..4 {
             let gamma = 0.15 + 0.2 * gi as f64;

@@ -6,14 +6,20 @@
 //! at every blocked chunk size class (fully chunked `0`, mid `2`, and
 //! degenerate single-chunk `n`). Sweep accounting is held to the
 //! fusion contract: one state sweep per diagonal run, never more
-//! passes than the source gate count.
+//! passes than the source gate count. The QAOA optimizer loop's own
+//! state preparation is held to its plain per-amplitude formulation
+//! bit for bit.
 
 use qq_circuit::exec::{
     apply_fused_to_blocked, apply_fused_to_statevector, run_statevector_unfused,
 };
 use qq_circuit::{fuse, AnsatzParams, Circuit, CostModel, Gate, Preference, Synthesizer};
-use qq_graph::generators;
-use qq_sim::{BlockedState, StateVector};
+use qq_graph::generators::{self, WeightKind};
+use qq_graph::Graph;
+use qq_qaoa::executor::build_state_fused;
+use qq_qaoa::CostTable;
+use qq_sim::measure::{expectation_from_table, sample_counts};
+use qq_sim::{BlockedState, StateVector, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,5 +168,56 @@ fn fused_path_is_bit_identical_across_chunkings() {
         apply_fused_to_blocked(&program, &mut blk).unwrap();
         let blk_flat = blk.to_statevector();
         assert_eq!(reference.amplitudes(), blk_flat.amplitudes(), "chunk {chunk_qubits}");
+    }
+}
+
+/// Index of the first amplitude whose bits differ, if any.
+fn first_bit_difference(a: &StateVector, b: &StateVector) -> Option<usize> {
+    let same =
+        |x: &C64, y: &C64| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits();
+    a.amplitudes().iter().zip(b.amplitudes()).position(|(x, y)| !same(x, y))
+}
+
+/// The optimizer loop's state preparation (level-table cost layer, one
+/// mixer wall per layer) against the plain per-amplitude formulation:
+/// `cis(−γ·C(z))` on every amplitude, then `rx(2β)` on each qubit in
+/// turn. n = 15 and 18 exceed the simulator's parallel grain (2^14), so
+/// the wall's chunked and high-qubit paths run too.
+#[test]
+fn qaoa_loop_state_is_bit_identical_to_per_amplitude_reference() {
+    let params = AnsatzParams::new(vec![0.41, 0.93], vec![0.62, 0.17]);
+    for n in [6, 10, 15, 18] {
+        let seed = n as u64;
+        let random = generators::erdos_renyi(n, 0.3, WeightKind::Random01, seed);
+        let signed = Graph::from_edges(n, random.edges().iter().map(|e| (e.u, e.v, e.w - 0.5)))
+            .expect("valid edges");
+        let uniform = generators::erdos_renyi(n, 0.3, WeightKind::Uniform, seed);
+        for (kind, g) in [("uniform", uniform), ("random01", random), ("signed", signed)] {
+            let model = CostModel::from_maxcut(&g);
+            let table = CostTable::new(&model);
+            let fused = build_state_fused(&table, &params);
+
+            let values: Vec<f64> = (0..1u64 << n).map(|z| model.eval_basis(z)).collect();
+            let mut reference = StateVector::plus_state(n);
+            for (&gamma, &beta) in params.gammas.iter().zip(&params.betas) {
+                for (a, &c) in reference.amplitudes_mut().iter_mut().zip(&values) {
+                    *a *= C64::cis(-gamma * c);
+                }
+                for q in 0..n {
+                    reference.rx(q, 2.0 * beta);
+                }
+            }
+            let ctx = format!("n = {n}, {kind} weights");
+            assert_eq!(first_bit_difference(&fused, &reference), None, "{ctx}: amplitude bits");
+
+            // both objectives read the table as the per-state values did
+            let exact = expectation_from_table(reference.amplitudes(), &values);
+            assert_eq!(table.expectation(&fused).to_bits(), exact.to_bits(), "{ctx}: ⟨C⟩");
+            let (shots, shot_seed) = (4096, 99);
+            let counts = sample_counts(reference.amplitudes(), shots, shot_seed);
+            let sum: f64 = counts.iter().map(|&(z, c)| values[z as usize] * c as f64).sum();
+            let sampled = table.sampled_expectation(&fused, shots, shot_seed);
+            assert_eq!(sampled.to_bits(), (sum / shots as f64).to_bits(), "{ctx}: sampled ⟨C⟩");
+        }
     }
 }
